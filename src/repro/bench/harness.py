@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 from ..core.result import NeighborResult
 from ..core.stats import QueryStats
 from ..obs.tracer import current_tracer
-from ..storage.manager import StorageManager
+from ..storage.manager import StorageManager, fold_io
 
 __all__ = [
     "MethodRun",
@@ -148,13 +148,8 @@ def run_method(
         t0 = time.process_time()
         result, stats = fn()
         cpu = time.process_time() - t0
-    io = storage.io_snapshot()
     stats.cpu_time_s += cpu
-    stats.io_time_s += io["io_time_s"]
-    stats.logical_reads += io["logical_reads"]
-    stats.page_misses += io["page_misses"]
-    stats.node_cache_hits += io["node_cache_hits"]
-    stats.node_cache_misses += io["node_cache_misses"]
+    io = fold_io(storage, stats)
     return MethodRun(
         label=label,
         cpu_s=cpu,

@@ -75,7 +75,7 @@ from ..obs.tracer import current_tracer
 from ..core.metrics import maxmaxdist_cross, minmindist_cross, nxndist_cross
 from ..core.stats import QueryStats
 from ..data import gstd
-from ..storage.manager import StorageManager
+from ..storage.manager import StorageManager, fold_io
 
 __all__ = ["kernel_bench", "format_kernel_report", "SCHEMA"]
 
@@ -191,12 +191,7 @@ def _bench_end_to_end(
         with tracer.span("end-to-end", kind=kind, n=n, k=k):
             result, stats = mba_join(index, index, k=k, exclude_self=True, trace=tracer)
     wall = time.perf_counter() - t0
-    io = storage.io_snapshot()
-    stats.logical_reads += io["logical_reads"]
-    stats.page_misses += io["page_misses"]
-    stats.io_time_s += io["io_time_s"]
-    stats.node_cache_hits += io["node_cache_hits"]
-    stats.node_cache_misses += io["node_cache_misses"]
+    io = fold_io(storage, stats)
     return {
         "label": f"{kind}-n{n}-k{k}",
         "kind": kind,
@@ -231,7 +226,9 @@ def _bench_frontier(
         storage.drop_caches()
         t0 = time.perf_counter()
         result, stats = join(index, index, k=k, exclude_self=True)
-        return time.perf_counter() - t0, result, stats
+        wall = time.perf_counter() - t0
+        fold_io(storage, stats)
+        return wall, result, stats
 
     baseline_s, baseline_result, __ = cold(mba_join)
     frontier_s, frontier_result, stats = cold(frontier_join)

@@ -49,6 +49,7 @@ from ..storage.manager import (
     IOSnapshot,
     StorageManager,
     StorageSnapshot,
+    fold_io,
     worker_node_cache_entries,
     worker_pool_pages,
 )
@@ -156,12 +157,7 @@ def run_shard(task: ShardTask) -> ShardOutcome:
             )
             merged.merge(result)
     stats.cpu_time_s += time.process_time() - t0
-    io = manager.io_snapshot()
-    stats.logical_reads += io["logical_reads"]
-    stats.page_misses += io["page_misses"]
-    stats.io_time_s += io["io_time_s"]
-    stats.node_cache_hits += io["node_cache_hits"]
-    stats.node_cache_misses += io["node_cache_misses"]
+    io = fold_io(manager, stats)
     span_dict = trace.root.children[0] if trace is not None else None
     return task.shard_id, merged, stats, io, span_dict
 

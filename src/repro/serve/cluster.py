@@ -16,8 +16,8 @@
   before the first spawn (so the lock inherits cleanly) and handed to
   every replica;
 * the **replica fleet** — N :class:`~repro.serve.replica.ReplicaHandle`
-  workers, each with a fair slice of the pool/node-cache budget (same
-  partition discipline as the sharded thread path: scale-out must not
+  workers, each with a fair slice of the pool/node-cache budget (the
+  exact partition :mod:`repro.parallel` uses: scale-out must not
   quietly multiply cache memory).
 
 Consistency note: replicas answer from the last *published* epoch; the

@@ -11,12 +11,17 @@ same buffer pool, exactly as in the paper's runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TypedDict
+from typing import TYPE_CHECKING, TypedDict
 
 from .buffer_pool import BufferPool, pool_pages_for_bytes
 from .disk import DEFAULT_PAGE_SIZE, DiskModel, PageStore
 from .node_cache import DecodedNodeCache
 from .node_file import NodeFile, PayloadCache
+
+if TYPE_CHECKING:
+    # Type-only: ``repro.core`` imports the index layer, which imports
+    # this module, so an eager import would be circular.
+    from ..core.stats import QueryStats
 
 __all__ = [
     "StorageManager",
@@ -25,6 +30,7 @@ __all__ = [
     "DEFAULT_POOL_PAGES",
     "worker_pool_pages",
     "worker_node_cache_entries",
+    "fold_io",
 ]
 
 
@@ -300,3 +306,19 @@ class StorageManager:
             for key, count in self.shared_cache.counters().items():
                 out[f"shared.{key}"] = float(count)
         return out
+
+
+def fold_io(manager: StorageManager, stats: QueryStats) -> IOSnapshot:
+    """Add ``manager``'s I/O counters to ``stats``; return the snapshot.
+
+    The one mapping from :meth:`StorageManager.io_snapshot` onto the
+    :class:`~repro.core.stats.QueryStats` I/O fields, shared by every
+    engine, bench and flush path that charges a run its storage work.
+    """
+    io = manager.io_snapshot()
+    stats.logical_reads += io["logical_reads"]
+    stats.page_misses += io["page_misses"]
+    stats.io_time_s += io["io_time_s"]
+    stats.node_cache_hits += io["node_cache_hits"]
+    stats.node_cache_misses += io["node_cache_misses"]
+    return io

@@ -48,6 +48,9 @@ class TestSmokeReport:
             assert row["frontier_wall_s"] > 0
             assert row["speedup"] > 0
             assert row["result"]["pair_count"] == row["n"] * row["k"]
+            # The frontier run's storage I/O is folded like every other
+            # engine's: a zero here would mean "not collected".
+            assert row["counters"]["logical_reads"] > 0
 
         # The artifact on disk is the same JSON document.
         on_disk = json.loads(out.read_text())
