@@ -12,7 +12,9 @@ Three sections:
   synthetic entry batches, for the ANN bound (``need=1``) and the
   count-aware AkNN bound (``need=4`` with ``counts_valid``).
 * ``metrics`` — per-call latency of the three cross kernels
-  (MINMINDIST, MAXMAXDIST, NXNDIST) on a fixed rect batch.
+  (MINMINDIST, MAXMAXDIST, NXNDIST) on a fixed rect batch, plus the
+  exact point × point distance that replaces them when both sides are
+  data points (``dist_points_cross`` over the batch's lower corners).
 * ``end_to_end`` — full :func:`~repro.core.mba.mba_join` runs on a
   fixed-seed GSTD slice, with the decoded-node cache enabled so its hit
   counters are exercised; each run records its result checksum so a
@@ -72,7 +74,12 @@ from ..core.lpq import make_node_lpq
 from ..core.mba import mba_join
 from ..core.result import NeighborResult
 from ..obs.tracer import current_tracer
-from ..core.metrics import maxmaxdist_cross, minmindist_cross, nxndist_cross
+from ..core.metrics import (
+    dist_points_cross,
+    maxmaxdist_cross,
+    minmindist_cross,
+    nxndist_cross,
+)
 from ..core.stats import QueryStats
 from ..data import gstd
 from ..storage.manager import StorageManager, fold_io
@@ -148,12 +155,16 @@ def _bench_metrics(
         lo = rng.random((n, dims))
         return RectArray(lo, lo + 0.1 * rng.random((n, dims)))
 
+    def points_cross(a: RectArray, b: RectArray) -> np.ndarray:
+        return dist_points_cross(a.lo, b.lo)
+
     a, b = rects(a_n), rects(b_n)
     rows = []
     for name, fn in (
         ("minmindist_cross", minmindist_cross),
         ("maxmaxdist_cross", maxmaxdist_cross),
         ("nxndist_cross", nxndist_cross),
+        ("dist_points_cross", points_cross),
     ):
         fn(a, b)  # warm any lazy numpy setup out of the timed region
         t0 = time.perf_counter()

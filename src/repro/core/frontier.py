@@ -45,9 +45,10 @@ the expensive target-side fan-out:
   id)`` and the k best per owner become the answer.
 
 The engine is *answer-identical* to ``mba_join``: exact object-object
-distances come from the same gap-form expression every kernel in
-:mod:`repro.core.metrics` shares (bit-identical to
-:func:`~repro.core.metrics.dist_point_points`), bounds are valid by the
+distances come from :func:`~repro.core.metrics.dist_points_rows`, the
+helper ``mba_join`` shares for point pairs (bit-identical to
+:func:`~repro.core.metrics.dist_point_points` and to either half of the
+bound kernels on point rects), bounds are valid by the
 same Lemma 3.1/3.2 arguments, and a valid bound can never retire a true
 k-NN member — so after :meth:`~repro.core.result.NeighborResult.
 finalize` both engines report the same pairs with the same float
@@ -59,8 +60,8 @@ its own counter contract:
 * ``node_expansions`` — deduplicated node fetches (each node once per
   pass, query and target side);
 * ``distance_evaluations`` — two per scored (owner, candidate) row
-  (MIND + MAXD), as in the recursive engine, except object-object rows
-  where one exact distance serves as both;
+  (MIND + MAXD), except object-object rows where one exact distance
+  serves as both — the same rule as the recursive engine;
 * ``pruned_entries`` — scored rows rejected by the owner's inherited
   bound at creation time;
 * ``lpq_filter_discards`` — pairs retired by a synchronous Filter pass
@@ -81,6 +82,7 @@ import numpy as np
 
 from ..index.base import PagedIndex
 from ..obs.tracer import Tracer
+from .metrics import dist_points_rows
 from .pruning import PruningMetric
 from .result import NeighborResult
 from .stats import QueryStats
@@ -552,16 +554,8 @@ class _FrontierEngine:
             if degenerate:
                 # Object-owner x leaf-point rows: both rects degenerate,
                 # so MIND == MAXD == the exact distance — one evaluation
-                # serves as both bounds, bit-identical to the gap-form
-                # kernels on the same degenerate rects.
-                diff = self.own_lo[a_owner] - e_lo[b_row]
-                if dims == 2:
-                    d0 = diff[:, 0]
-                    d1 = diff[:, 1]
-                    mind = np.sqrt(d0 * d0 + d1 * d1)
-                else:
-                    mind = np.sqrt(np.sum(diff * diff, axis=1))
-                maxd = mind
+                # serves as both bounds.
+                mind = maxd = dist_points_rows(self.own_lo[a_owner], e_lo[b_row])
                 self.stats.record_distances(total)
             else:
                 mind, maxd = self.metric.pair_rows(

@@ -25,6 +25,15 @@ Structure (mirroring the paper):
     remaining entry can beat it), so the first k objects popped are the
     kNN.
 
+Counter contract: every entry pair the Expand Stage scores is charged two
+``distance_evaluations`` (MINMINDIST plus the pruning bound), except an
+object × object pair — a leaf owner's point probed against a target
+point — which is charged one: for two points MINMINDIST, NXNDIST and
+MAXMAXDIST all equal the exact distance, so
+:func:`~repro.core.metrics.dist_points_cross` computes it once and it
+serves as both bounds (bit-identical to the bound kernels).  The Gather
+Stage likewise charges one per point it scores exactly.
+
 Traversal-variant knobs reproduce the design-space ablation of Section
 3.3.2: ``depth_first=False`` processes the LPQ queue breadth-first, and
 ``bidirectional=False`` descends only the query index per step, expanding
@@ -47,7 +56,12 @@ from ..core.lpq import (
     make_node_lpq,
     make_object_lpq,
 )
-from ..core.metrics import dist_point_points, minmindist, minmindist_point_batch
+from ..core.metrics import (
+    dist_point_points,
+    dist_points_cross,
+    minmindist,
+    minmindist_point_batch,
+)
 from ..core.pruning import PruningMetric
 from ..core.result import NeighborResult
 from ..core.stats import QueryStats
@@ -342,6 +356,9 @@ class _Engine:
             self.stats.pruned_entries += len(lpq)
             return []
         owner_rects = rnode.rects
+        # A leaf owner's children are data points: pairs they form with
+        # target points are scored by exact distance, not the bound kernels.
+        owner_points = rnode.points if rnode.is_leaf else None
 
         # Every child LPQ mirrors its bound into one shared array (updated
         # in place on push/pop), so reading all current bounds is a copy,
@@ -378,9 +395,13 @@ class _Engine:
                 self.stats.pruned_entries += 1
                 continue
             if kind == OBJECT:
-                self._probe_object(child_lpqs, owner_rects, bounds, ident, extra)
+                self._probe_object(
+                    child_lpqs, owner_rects, owner_points, bounds, ident, extra
+                )
             elif self.bidirectional:
-                self._probe_node_children(child_lpqs, owner_rects, shared, ident)
+                self._probe_node_children(
+                    child_lpqs, owner_rects, owner_points, shared, ident
+                )
             else:
                 self._probe_node_entry(child_lpqs, owner_rects, bounds, ident, count, extra)
 
@@ -428,16 +449,21 @@ class _Engine:
         self,
         child_lpqs: list[LPQ],
         owner_rects: RectArray,
+        owner_points: np.ndarray | None,
         bounds: np.ndarray,
         point_id: int,
         point: np.ndarray,
     ) -> None:
         """Probe a single target data object against every child LPQ."""
-        target = self._single_rect(point, point)
-        minds, maxds = self.metric.cross_pair(owner_rects, target)
-        minds = minds[:, 0]
-        maxds = maxds[:, 0]
-        self.stats.record_distances(2 * len(minds))
+        if owner_points is not None:
+            minds = maxds = dist_points_cross(owner_points, point[None, :])[:, 0]
+            self.stats.record_distances(len(minds))
+        else:
+            target = self._single_rect(point, point)
+            minds, maxds = self.metric.cross_pair(owner_rects, target)
+            minds = minds[:, 0]
+            maxds = maxds[:, 0]
+            self.stats.record_distances(2 * len(minds))
         hits = np.nonzero(minds <= bounds)[0]
         for c in hits:
             child_lpqs[c].push_object_single(
@@ -449,6 +475,7 @@ class _Engine:
         self,
         child_lpqs: list[LPQ],
         owner_rects: RectArray,
+        owner_points: np.ndarray | None,
         lpq_bounds: np.ndarray,
         node_id: int,
     ) -> None:
@@ -456,14 +483,19 @@ class _Engine:
 
         ``lpq_bounds`` is the *live* shared bounds array (every child LPQ
         writes its bound there eagerly), so this stage always sees current
-        bounds — exactly as when it recomputed them per call.
+        bounds — exactly as when it recomputed them per call.  Leaf owner
+        × leaf target is a point × point block: the exact distance is
+        both bounds, one evaluation per pair.
         """
         snode = self.index_s.node(node_id)
         self.stats.node_expansions += 1
-        targets = snode.rects
-        mind_mat, maxd_mat = self.metric.cross_pair(owner_rects, targets)
-        self.stats.record_distances(2 * mind_mat.size)
         is_leaf = snode.is_leaf
+        if owner_points is not None and is_leaf:
+            mind_mat = maxd_mat = dist_points_cross(owner_points, snode.points)
+            self.stats.record_distances(mind_mat.size)
+        else:
+            mind_mat, maxd_mat = self.metric.cross_pair(owner_rects, snode.rects)
+            self.stats.record_distances(2 * mind_mat.size)
         counts = None if is_leaf else snode.counts
 
         if self.batch_tighten:

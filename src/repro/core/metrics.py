@@ -44,6 +44,8 @@ __all__ = [
     "nxndist_batch",
     "minmindist_point_batch",
     "dist_point_points",
+    "dist_points_cross",
+    "dist_points_rows",
     "minmindist_cross",
     "maxmaxdist_cross",
     "nxndist_cross",
@@ -74,6 +76,40 @@ def dist_point_points(p: np.ndarray, points: np.ndarray) -> np.ndarray:
     """
     diff = np.asarray(points, dtype=np.float64) - np.asarray(p, dtype=np.float64)
     return np.sqrt(np.sum(diff * diff, axis=1))
+
+
+# When both sides of a scored pair are data points, MINMINDIST, MAXMAXDIST
+# and NXNDIST all collapse to the exact distance: for point rects every
+# per-dimension gap, MAXDIST and MAXMIN term is the same ``|a - b|``
+# (``fl(b - a) == -fl(a - b)``), so the bound kernels reduce the same
+# squares in the same order.  These helpers compute that value once — one
+# distance evaluation per pair — bit-identical to either half of the fused
+# kernels on the corresponding degenerate rects (the metric consistency
+# property tests assert it).
+
+
+def dist_points_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact distances between every point of ``a`` and every point of ``b``.
+
+    ``a`` is ``(na, D)``, ``b`` is ``(nb, D)``; returns ``(na, nb)``.
+    """
+    if a.shape[1] == 2:
+        # Per-dimension form, as in the 2-D fast paths of the cross kernels.
+        d0 = a[:, 0, None] - b[None, :, 0]
+        d1 = a[:, 1, None] - b[None, :, 1]
+        return np.sqrt(d0 * d0 + d1 * d1)
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def dist_points_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact distances for row pairs ``(a[i], b[i])`` of two ``(n, D)`` arrays."""
+    if a.shape[1] == 2:
+        d0 = a[:, 0] - b[:, 0]
+        d1 = a[:, 1] - b[:, 1]
+        return np.sqrt(d0 * d0 + d1 * d1)
+    diff = a - b
+    return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ observed speedups:
 
 * ``distance_evaluations`` — number of pairwise metric evaluations
   (point–point, point–MBR, or MBR–MBR).  Vectorised kernels add the batch
-  size, so the count equals what a scalar implementation would do.
+  size, so the count equals what a scalar implementation would do.  A
+  pair of entries scored for both a lower and an upper bound costs two;
+  an object × object pair costs one, because its exact distance is both
+  bounds (every engine — ``mba_join``, the frontier, the Gather stage —
+  charges it that way).
 * ``node_expansions`` — index nodes whose children were fetched.
 * ``lpq_enqueues`` / ``lpq_filter_discards`` — Local Priority Queue traffic
   and the effectiveness of the Filter Stage (Section 3.3.3).

@@ -27,7 +27,12 @@ class TestSmokeReport:
             assert row["pop_rate_eps"] > 0
 
         kernels = {row["kernel"] for row in report["metrics"]}
-        assert {"minmindist_cross", "maxmaxdist_cross", "nxndist_cross"} <= kernels
+        assert {
+            "minmindist_cross",
+            "maxmaxdist_cross",
+            "nxndist_cross",
+            "dist_points_cross",
+        } <= kernels
         for row in report["metrics"]:
             assert row["per_call_us"] > 0
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.api import build_index, build_join_indexes
+from repro.api import all_nearest_neighbors, build_index, build_join_indexes
+from repro.config import JoinConfig
 from repro.core.mba import mba_join
 from repro.core.pruning import PruningMetric
 from repro.data import gstd
@@ -261,6 +262,14 @@ class TestCounters:
         index = build_index(pts, storage)
         __, stats = mba_join(index, index, exclude_self=True)
         assert stats.distance_evaluations < 2000 * 2000 / 2
+
+    def test_point_pairs_charge_one_evaluation(self, rng):
+        # 50 points fit one MBRQT leaf: the root seed charges MINMINDIST
+        # and the pruning bound (2), then the leaf x leaf probe scores
+        # every point pair once by exact distance (50 * 50).
+        pts = rng.random((50, 2))
+        __, stats = all_nearest_neighbors(pts, JoinConfig())
+        assert stats.distance_evaluations == 2 + 50 * 50
 
     def test_stats_accumulate_across_calls(self, rng):
         from repro.core.stats import QueryStats

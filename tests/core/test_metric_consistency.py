@@ -21,6 +21,9 @@ from hypothesis import strategies as st
 
 from repro.core.geometry import Rect, RectArray
 from repro.core.metrics import (
+    dist_point_points,
+    dist_points_cross,
+    dist_points_rows,
     maxmaxdist,
     maxmaxdist_batch,
     maxmaxdist_cross,
@@ -206,3 +209,77 @@ class TestDegenerateIdentities:
         assert nxndist(p, p) == 0.0
         mm, nx = minmindist_nxndist_cross(arr, arr)
         assert mm[0, 0] == 0.0 and nx[0, 0] == 0.0
+
+
+def point_sets(dims, max_points=6):
+    """Strategy for an ``(n, dims)`` point array at mixed scales.
+
+    Each coordinate is a mantissa in ``[-10, 10]`` times a power of ten
+    in ``[1e-6, 1e6]``, so one array mixes magnitudes twelve orders apart;
+    a drawn list of row indices is overwritten with row 0, giving
+    coincident points (zero distance) on the same draw.
+    """
+    coord = st.builds(
+        lambda m, e: m * 10.0**e,
+        st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+        st.integers(-6, 6),
+    )
+    rows = st.lists(st.lists(coord, min_size=dims, max_size=dims),
+                    min_size=1, max_size=max_points)
+
+    @st.composite
+    def build(draw):
+        pts = np.array(draw(rows), dtype=np.float64)
+        dup = draw(st.lists(st.integers(0, len(pts) - 1), max_size=len(pts)))
+        pts[dup] = pts[0]
+        return pts
+
+    return build()
+
+
+class TestExactPointDistanceBitExact:
+    """The point-pair helpers equal both halves of the bound kernels.
+
+    ``mba_join`` and the frontier score point × point pairs with
+    ``dist_points_cross`` / ``dist_points_rows`` instead of the fused
+    (MINMINDIST, bound) kernels; the golden replay and the frontier's
+    answer identity need that substitution to be bitwise.  D=10 takes
+    numpy's unrolled multi-accumulator summation over the last axis.
+    """
+
+    @staticmethod
+    def _check(p, q):
+        a = RectArray(p, p)
+        b = RectArray(q, q)
+        cross = dist_points_cross(p, q)
+        assert cross.shape == (len(p), len(q))
+        for metric in (PruningMetric.NXNDIST, PruningMetric.MAXMAXDIST):
+            mind, bound = metric.cross_pair(a, b)
+            assert np.array_equal(cross, mind)
+            assert np.array_equal(cross, bound)
+        for i in range(len(p)):
+            assert np.array_equal(cross[i], dist_point_points(p[i], q))
+
+        ii, jj = np.meshgrid(np.arange(len(p)), np.arange(len(q)), indexing="ij")
+        ii, jj = ii.ravel(), jj.ravel()
+        rows = dist_points_rows(p[ii], q[jj])
+        assert np.array_equal(rows, cross.ravel())
+        for metric in (PruningMetric.NXNDIST, PruningMetric.MAXMAXDIST):
+            mind, bound = metric.pair_rows(p[ii], p[ii], q[jj], q[jj])
+            assert np.array_equal(rows, mind)
+            assert np.array_equal(rows, bound)
+
+    @given(p=point_sets(2), q=point_sets(2))
+    @settings(max_examples=150, deadline=None)
+    def test_2d(self, p, q):
+        self._check(p, q)
+
+    @given(p=point_sets(3), q=point_sets(3))
+    @settings(max_examples=75, deadline=None)
+    def test_3d(self, p, q):
+        self._check(p, q)
+
+    @given(p=point_sets(10), q=point_sets(10))
+    @settings(max_examples=75, deadline=None)
+    def test_10d(self, p, q):
+        self._check(p, q)
